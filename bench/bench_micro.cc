@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the library's hot kernels: edge-index
-// probes, serial triangle enumeration, the CQ evaluator, the bucket-oriented
-// map-reduce round, and the share optimizer.
+// probes, serial triangle enumeration, the CQ evaluator, the reducer kernel,
+// the bucket-oriented map-reduce round, and the share optimizer.
 
 #include <algorithm>
 #include <cstdio>
@@ -10,14 +10,18 @@
 #include <benchmark/benchmark.h>
 
 #include "core/subgraph_enumerator.h"
-#include "graph/intersect.h"
-#include "mapreduce/thread_pool.h"
 #include "cq/cq_evaluator.h"
 #include "cq/cq_generation.h"
 #include "graph/generators.h"
+#include "graph/intersect.h"
+#include "graph/local_graph.h"
+#include "graph/subgraph.h"
 #include "mapreduce/job.h"
+#include "mapreduce/thread_pool.h"
 #include "serial/triangles.h"
 #include "shares/share_optimizer.h"
+#include "tests/reference_cq_evaluator.h"
+#include "util/combinatorics.h"
 #include "util/hashing.h"
 
 namespace smr {
@@ -100,6 +104,79 @@ void BM_CqEvaluatorSquare(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CqEvaluatorSquare);
+
+/// The reducer kernel alone, on the reducer inputs of a bucket:8 triangle
+/// job over ER(5000, 60000): the 120 groups of oriented edges the
+/// bucket-oriented mapper ships, in emission order. Arg 0 picks the kernel:
+/// 0 = the library's (per-worker LocalGraphBuilder + rank-space
+/// intersection join), 1 = the test oracle it replaced (sort-based
+/// BuildSubgraph + NodeOrder::Project + draw-then-probe join). Either row
+/// fails unless its reduce cost equals the oracle's, field for field.
+struct ReducerGroups {
+  NodeOrder order = NodeOrder::Identity(0);
+  std::vector<std::vector<Edge>> groups;
+  std::vector<ConjunctiveQuery> cqs;
+  CostCounter oracle_cost;
+};
+
+const ReducerGroups& BucketTriangleGroups() {
+  static const ReducerGroups shared = [] {
+    ReducerGroups out;
+    const Graph g = ErdosRenyi(5000, 60000, 1);
+    const int buckets = 8;
+    const BucketHasher hasher(buckets, 1);
+    out.order = NodeOrder::ByBucket(g.num_nodes(), hasher);
+    out.cqs = CqsForSample(SampleGraph::Triangle());
+    std::vector<std::vector<Edge>> by_key(Binomial(buckets + 2, 3));
+    for (const Edge& e : g.edges()) {
+      const Edge oriented = out.order.Orient(e);
+      for (int w = 0; w < buckets; ++w) {
+        std::vector<int> multiset = {hasher.Bucket(oriented.first),
+                                     hasher.Bucket(oriented.second), w};
+        std::sort(multiset.begin(), multiset.end());
+        by_key[RankNondecreasing(multiset, buckets)].push_back(oriented);
+      }
+    }
+    for (auto& group : by_key) {
+      if (!group.empty()) out.groups.push_back(std::move(group));
+    }
+    for (const auto& group : out.groups) {
+      const Subgraph sub = reference::SortedBuildSubgraph(group);
+      reference::DrawThenProbeEvaluator(
+          sub.graph, NodeOrder::Project(out.order, sub.local_to_global))
+          .EvaluateAll(out.cqs, nullptr, &out.oracle_cost);
+    }
+    return out;
+  }();
+  return shared;
+}
+
+void BM_ReducerKernel(benchmark::State& state) {
+  const ReducerGroups& shared = BucketTriangleGroups();
+  const bool oracle = state.range(0) == 1;
+  LocalGraphBuilder builder;
+  CostCounter cost;
+  for (auto _ : state) {
+    cost.Reset();
+    for (const auto& group : shared.groups) {
+      if (oracle) {
+        const Subgraph sub = reference::SortedBuildSubgraph(group);
+        reference::DrawThenProbeEvaluator(
+            sub.graph, NodeOrder::Project(shared.order, sub.local_to_global))
+            .EvaluateAll(shared.cqs, nullptr, &cost);
+      } else {
+        CqEvaluator(builder.Build(group, shared.order))
+            .EvaluateAll(shared.cqs, nullptr, &cost);
+      }
+    }
+    benchmark::DoNotOptimize(cost.outputs);
+  }
+  if (!(cost == shared.oracle_cost)) {
+    state.SkipWithError("reduce cost differs from the draw-then-probe oracle");
+  }
+  state.counters["reduce_ops"] = static_cast<double>(cost.Total());
+}
+BENCHMARK(BM_ReducerKernel)->ArgName("oracle")->Arg(0)->Arg(1);
 
 void BM_BucketOrientedTriangles(benchmark::State& state) {
   const Graph g = ErdosRenyi(2000, 10000, 4);

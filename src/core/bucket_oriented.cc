@@ -5,15 +5,13 @@
 #include <vector>
 
 #include "cq/cq_evaluator.h"
+#include "graph/local_graph.h"
 #include "graph/node_order.h"
-#include "graph/subgraph.h"
 #include "mapreduce/job.h"
 #include "util/combinatorics.h"
 #include "util/hashing.h"
 
 namespace smr {
-
-namespace {
 
 // Reducer keys are combinatorial ranks (RankNondecreasing / RankSubset),
 // not base-b positional packings: ranks are dense in [0, key_space), which
@@ -23,35 +21,6 @@ namespace {
 // distinct reducers, corrupting counts. Both encodings order reducers
 // identically (lexicographically in the sorted bucket sequence), so metrics
 // and emission order are unchanged where the old packing was correct.
-
-/// Sink wrapper used inside reducers: translates local node ids to global,
-/// optionally filters by a predicate, and forwards to the reducer context.
-class ReducerSink : public InstanceSink {
- public:
-  ReducerSink(const std::vector<NodeId>& local_to_global,
-              std::function<bool(std::span<const NodeId>)> keep,
-              ReduceContext* context)
-      : local_to_global_(local_to_global),
-        keep_(std::move(keep)),
-        context_(context) {}
-
-  void Emit(std::span<const NodeId> assignment) override {
-    scratch_.assign(assignment.size(), 0);
-    for (size_t i = 0; i < assignment.size(); ++i) {
-      scratch_[i] = local_to_global_[assignment[i]];
-    }
-    if (keep_ && !keep_(scratch_)) return;
-    context_->EmitInstance(scratch_);
-  }
-
- private:
-  const std::vector<NodeId>& local_to_global_;
-  std::function<bool(std::span<const NodeId>)> keep_;
-  ReduceContext* context_;
-  std::vector<NodeId> scratch_;
-};
-
-}  // namespace
 
 MapReduceMetrics BucketOrientedEnumerate(
     const SampleGraph& pattern, std::span<const ConjunctiveQuery> cqs,
@@ -86,27 +55,24 @@ MapReduceMetrics BucketOrientedEnumerate(
     }
   };
 
+  LocalGraphBuilderPool builders;
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
     const std::vector<int> own = UnrankNondecreasing(key, buckets, p);
-    const Subgraph local = BuildSubgraph(values);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order =
-        NodeOrder::Project(order, local.local_to_global);
-    const CqEvaluator evaluator(local.graph, local_order);
-    ReducerSink reducer_sink(
-        local.local_to_global,
+    const auto builder = builders.Borrow();
+    const CqEvaluator evaluator(builder->Build(values, order));
+    std::vector<int> got(p);
+    ReduceFilterSink keep_own(
         [&](std::span<const NodeId> global) {
           // Keep solutions whose sorted bucket multiset matches this
           // reducer; all other reducers holding these edges skip them.
-          std::vector<int> got;
-          got.reserve(global.size());
-          for (NodeId node : global) got.push_back(hasher.Bucket(node));
+          for (int x = 0; x < p; ++x) got[x] = hasher.Bucket(global[x]);
           std::sort(got.begin(), got.end());
           return got == own;
         },
         context);
-    evaluator.EvaluateAll(cqs, &reducer_sink, context->cost);
+    evaluator.EvaluateAll(cqs, &keep_own, context->cost);
   };
 
   JobDriver driver(policy);
@@ -152,20 +118,24 @@ MapReduceMetrics GeneralizedPartitionEnumerate(
         });
   };
 
+  // Identity order on global ids (hence on every reducer's local ids).
+  const NodeOrder identity = NodeOrder::Identity(graph.num_nodes());
+  LocalGraphBuilderPool builders;
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
     const std::vector<int> own = UnrankSubset(key, b, p);
-    const Subgraph local = BuildSubgraph(values);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order = NodeOrder::Identity(local.graph.num_nodes());
-    const CqEvaluator evaluator(local.graph, local_order);
-    ReducerSink reducer_sink(
-        local.local_to_global,
+    const auto builder = builders.Borrow();
+    const CqEvaluator evaluator(builder->Build(values, identity));
+    std::vector<int> distinct;
+    distinct.reserve(p);
+    ReduceFilterSink keep_canonical(
         [&](std::span<const NodeId> global) {
           // Canonical-subset de-duplication, as for Partition triangles:
           // pad the instance's distinct groups with the smallest unused
-          // group ids; only the canonical reducer emits.
-          std::vector<int> distinct;
+          // group ids; only the canonical reducer emits. `distinct` never
+          // outgrows its reserved p slots.
+          distinct.clear();
           for (NodeId node : global) distinct.push_back(hasher.Bucket(node));
           std::sort(distinct.begin(), distinct.end());
           distinct.erase(std::unique(distinct.begin(), distinct.end()),
@@ -183,7 +153,7 @@ MapReduceMetrics GeneralizedPartitionEnumerate(
           return distinct == own;
         },
         context);
-    evaluator.EvaluateAll(cqs, &reducer_sink, context->cost);
+    evaluator.EvaluateAll(cqs, &keep_canonical, context->cost);
   };
 
   JobDriver driver(policy);

@@ -1,13 +1,14 @@
 #include "core/triangle_algorithms.h"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "graph/local_graph.h"
 #include "graph/node_order.h"
-#include "graph/subgraph.h"
 #include "mapreduce/job.h"
 #include "serial/triangles.h"
 #include "util/combinatorics.h"
@@ -140,30 +141,25 @@ MapReduceMetrics OrderedBucketTriangles(const Graph& graph, int buckets,
     }
   };
 
+  LocalGraphBuilderPool builders;
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
     const std::array<int, 3> triple = UnrankTriple(key, buckets);
-    const Subgraph local = BuildSubgraph(values);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order =
-        NodeOrder::Project(order, local.local_to_global);
-    CollectingSink local_sink;
-    EnumerateTriangles(local.graph, local_order, &local_sink, context->cost);
-    for (const auto& assignment : local_sink.assignments()) {
-      // Keep only triangles whose sorted bucket triple is this reducer's
-      // (other reducers see the same triangle's edges but skip it).
-      std::array<int, 3> got = {
-          hasher.Bucket(local.local_to_global[assignment[0]]),
-          hasher.Bucket(local.local_to_global[assignment[1]]),
-          hasher.Bucket(local.local_to_global[assignment[2]])};
-      std::sort(got.begin(), got.end());
-      if (got != triple) continue;
-      const std::array<NodeId, 3> global = {
-          local.local_to_global[assignment[0]],
-          local.local_to_global[assignment[1]],
-          local.local_to_global[assignment[2]]};
-      context->EmitInstance(global);
-    }
+    ReduceFilterSink keep_own(
+        [&](std::span<const NodeId> global) {
+          // Keep only triangles whose sorted bucket triple is this
+          // reducer's (other reducers see the same triangle's edges but
+          // skip it).
+          std::array<int, 3> got = {hasher.Bucket(global[0]),
+                                    hasher.Bucket(global[1]),
+                                    hasher.Bucket(global[2])};
+          std::sort(got.begin(), got.end());
+          return got == triple;
+        },
+        context);
+    EnumerateTriangles(builders.Borrow()->Build(values, order), &keep_own,
+                       context->cost);
   };
 
   JobDriver driver(policy);
@@ -208,45 +204,40 @@ MapReduceMetrics PartitionTriangles(const Graph& graph, int num_groups,
     }
   };
 
+  // Identity order on global ids (hence on every reducer's local ids).
+  const NodeOrder identity = NodeOrder::Identity(graph.num_nodes());
+  LocalGraphBuilderPool builders;
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
     const std::array<int, 3> own = UnrankStrictTriple(key, b);
-    const Subgraph local = BuildSubgraph(values);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order = NodeOrder::Identity(local.graph.num_nodes());
-    CollectingSink local_sink;
-    EnumerateTriangles(local.graph, local_order, &local_sink, context->cost);
-    for (const auto& assignment : local_sink.assignments()) {
-      const std::array<NodeId, 3> global = {
-          local.local_to_global[assignment[0]],
-          local.local_to_global[assignment[1]],
-          local.local_to_global[assignment[2]]};
-      // De-duplication: the triangle's distinct groups H are contained in
-      // several reducer triples; only the canonical one (H padded with the
-      // smallest unused group ids) emits it.
-      std::array<int, 3> groups = {hasher.Bucket(global[0]),
-                                   hasher.Bucket(global[1]),
-                                   hasher.Bucket(global[2])};
-      std::sort(groups.begin(), groups.end());
-      std::vector<int> distinct;
-      for (int g : groups) {
-        if (distinct.empty() || distinct.back() != g) distinct.push_back(g);
-      }
-      for (int candidate = 0;
-           static_cast<int>(distinct.size()) < 3 && candidate < b;
-           ++candidate) {
-        bool present = false;
-        for (int g : distinct) present |= (g == candidate);
-        if (!present) {
-          distinct.push_back(candidate);
-          std::sort(distinct.begin(), distinct.end());
-        }
-      }
-      const std::array<int, 3> canonical = {distinct[0], distinct[1],
-                                            distinct[2]};
-      if (canonical != own) continue;
-      context->EmitInstance(global);
-    }
+    ReduceFilterSink keep_canonical(
+        [&](std::span<const NodeId> global) {
+          // De-duplication: the triangle's distinct groups H are contained
+          // in several reducer triples; only the canonical one (H padded
+          // with the smallest unused group ids) emits it.
+          std::array<int, 3> groups = {hasher.Bucket(global[0]),
+                                       hasher.Bucket(global[1]),
+                                       hasher.Bucket(global[2])};
+          std::sort(groups.begin(), groups.end());
+          std::array<int, 3> canonical{};
+          size_t size = 0;
+          for (int g : groups) {
+            if (size == 0 || canonical[size - 1] != g) canonical[size++] = g;
+          }
+          for (int candidate = 0; size < 3 && candidate < b; ++candidate) {
+            bool present = false;
+            for (size_t i = 0; i < size; ++i) {
+              present |= canonical[i] == candidate;
+            }
+            if (!present) canonical[size++] = candidate;
+          }
+          std::sort(canonical.begin(), canonical.end());
+          return canonical == own;
+        },
+        context);
+    EnumerateTriangles(builders.Borrow()->Build(values, identity),
+                       &keep_canonical, context->cost);
   };
 
   JobDriver driver(policy);

@@ -1,9 +1,11 @@
 #include "cq/cq_evaluator.h"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
+#include <utility>
 #include <vector>
+
+#include "graph/intersect.h"
 
 namespace smr {
 
@@ -27,7 +29,6 @@ struct PlanStep {
 struct JoinPlan {
   int seed_a = -1;  // first subgoal: E(X_seed_a, X_seed_b)
   int seed_b = -1;
-  std::vector<std::pair<int, int>> seed_checks;
   std::vector<PlanStep> steps;
   std::vector<int> free_vars;  // variables in no subgoal at all
 };
@@ -99,27 +100,36 @@ JoinPlan BuildPlan(const ConjunctiveQuery& cq) {
 
 struct EvalState {
   const ConjunctiveQuery* cq;
-  const Graph* graph;
-  const NodeOrder* order;
-  const OrientedAdjacency* successors;
-  const OrientedAdjacency* predecessors;
+  const LocalGraph* local;
   const JoinPlan* plan;
   InstanceSink* sink;
   CostCounter* cost;
-  std::vector<NodeId> assignment;
-  std::vector<bool> bound;
+  std::vector<uint32_t> assignment;  // variable -> rank
+  std::vector<uint8_t> bound;
   std::vector<int> scratch_order;
+  std::vector<NodeId> emitted;  // assignment mapped to node ids
+  // Two intersection buffers per plan step, `stride` slots each.
+  std::vector<NodeId> buffers;
+  size_t stride = 0;
   uint64_t found = 0;
 
   bool SubgoalHolds(int a, int b) {
-    if (cost != nullptr) ++cost->index_probes;
-    return order->Less(assignment[a], assignment[b]) &&
-           graph->HasEdge(assignment[a], assignment[b]);
+    ++cost->index_probes;
+    const uint32_t ra = assignment[a];
+    const uint32_t rb = assignment[b];
+    return ra < rb && ContainsSorted(local->Successors(ra), rb);
   }
 
-  bool Distinct(NodeId node) {
+  bool ChecksHold(const std::vector<std::pair<int, int>>& checks) {
+    for (const auto& [a, b] : checks) {
+      if (!SubgoalHolds(a, b)) return false;
+    }
+    return true;
+  }
+
+  bool Distinct(uint32_t rank) const {
     for (size_t x = 0; x < assignment.size(); ++x) {
-      if (bound[x] && assignment[x] == node) return false;
+      if (bound[x] && assignment[x] == rank) return false;
     }
     return true;
   }
@@ -128,14 +138,17 @@ struct EvalState {
     // Induced total order of the variables, smallest node first.
     scratch_order.resize(assignment.size());
     std::iota(scratch_order.begin(), scratch_order.end(), 0);
-    std::sort(scratch_order.begin(), scratch_order.end(), [this](int a, int b) {
-      return order->Less(assignment[a], assignment[b]);
-    });
-    if (cost != nullptr) ++cost->candidates;
+    std::sort(scratch_order.begin(), scratch_order.end(),
+              [this](int a, int b) { return assignment[a] < assignment[b]; });
+    ++cost->candidates;
     if (!cq->OrderAllowed(scratch_order)) return;
     ++found;
-    if (cost != nullptr) ++cost->outputs;
-    if (sink != nullptr) sink->Emit(assignment);
+    ++cost->outputs;
+    if (sink == nullptr) return;
+    for (size_t x = 0; x < assignment.size(); ++x) {
+      emitted[x] = local->id_of_rank[assignment[x]];
+    }
+    sink->Emit(emitted);
   }
 
   void BindFreeVars(size_t index) {
@@ -144,13 +157,33 @@ struct EvalState {
       return;
     }
     const int var = plan->free_vars[index];
-    for (NodeId node = 0; node < graph->num_nodes(); ++node) {
-      if (!Distinct(node)) continue;
-      assignment[var] = node;
-      bound[var] = true;
+    for (NodeId node = 0; node < local->num_nodes; ++node) {
+      const uint32_t rank = local->rank_of_local[node];
+      if (!Distinct(rank)) continue;
+      assignment[var] = rank;
+      bound[var] = 1;
       BindFreeVars(index + 1);
-      bound[var] = false;
+      bound[var] = 0;
     }
+  }
+
+  void SeedStep(size_t depth, const PlanStep& step) {
+    for (const Edge& e : local->oriented_edges) {
+      ++cost->candidates;
+      if (!Distinct(e.first) || !Distinct(e.second)) continue;
+      assignment[step.var] = e.first;
+      assignment[step.var2] = e.second;
+      bound[step.var] = bound[step.var2] = 1;
+      if (ChecksHold(step.check_subgoals)) Step(depth + 1);
+      bound[step.var] = bound[step.var2] = 0;
+    }
+  }
+
+  void Bind(size_t depth, const PlanStep& step, NodeId rank) {
+    assignment[step.var] = rank;
+    bound[step.var] = 1;
+    Step(depth + 1);
+    bound[step.var] = 0;
   }
 
   void Step(size_t depth) {
@@ -160,43 +193,57 @@ struct EvalState {
     }
     const PlanStep& step = plan->steps[depth];
     if (step.edge_seed) {
-      for (const Edge& e : graph->edges()) {
-        if (cost != nullptr) ++cost->candidates;
-        const Edge oriented = order->Orient(e);
-        if (!Distinct(oriented.first) || !Distinct(oriented.second)) continue;
-        assignment[step.var] = oriented.first;
-        assignment[step.var2] = oriented.second;
-        bound[step.var] = bound[step.var2] = true;
-        bool ok = true;
-        for (const auto& [a, b] : step.check_subgoals) {
-          if (!SubgoalHolds(a, b)) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) Step(depth + 1);
-        bound[step.var] = bound[step.var2] = false;
+      SeedStep(depth, step);
+      return;
+    }
+    const uint32_t anchor = assignment[step.anchor_var];
+    const std::span<const NodeId> anchor_list =
+        step.anchor_is_smaller ? local->Successors(anchor)
+                               : local->Predecessors(anchor);
+    cost->candidates += anchor_list.size();
+    const bool ascending = step.anchor_is_smaller;
+    const size_t k = step.check_subgoals.size();
+    if (k == 0) {
+      for (size_t i = 0; i < anchor_list.size(); ++i) {
+        const NodeId rank =
+            anchor_list[ascending ? i : anchor_list.size() - 1 - i];
+        if (Distinct(rank)) Bind(depth, step, rank);
       }
       return;
     }
-    const NodeId anchor_node = assignment[step.anchor_var];
-    const auto candidates = step.anchor_is_smaller
-                                ? successors->Successors(anchor_node)
-                                : predecessors->Successors(anchor_node);
-    for (NodeId node : candidates) {
-      if (cost != nullptr) ++cost->candidates;
-      if (!Distinct(node)) continue;
-      assignment[step.var] = node;
-      bound[step.var] = true;
-      bool ok = true;
-      for (const auto& [a, b] : step.check_subgoals) {
-        if (!SubgoalHolds(a, b)) {
-          ok = false;
-          break;
-        }
+    // L_0: the anchor list without nodes other variables hold. Distinct
+    // variables hold distinct nodes, so each bound node in the list counts
+    // once.
+    size_t held = 0;
+    for (size_t x = 0; x < assignment.size(); ++x) {
+      if (bound[x] && ContainsSorted(anchor_list, assignment[x])) ++held;
+    }
+    cost->index_probes += anchor_list.size() - held;
+    // Each check involves `var` and one bound variable (every subgoal bound
+    // earlier was consumed by an earlier step): var in Successors(other)
+    // for a check (other, var), in Predecessors(other) for (var, other).
+    std::span<const NodeId> survivors = anchor_list;
+    NodeId* const pair = buffers.data() + 2 * depth * stride;
+    for (size_t i = 0; i < k; ++i) {
+      const auto [a, b] = step.check_subgoals[i];
+      const std::span<const NodeId> check =
+          a == step.var ? local->Predecessors(assignment[b])
+                        : local->Successors(assignment[a]);
+      // Output room: min(|survivors|, |check|) + kIntersectSlack <= stride.
+      NodeId* const out = pair + (i % 2) * stride;
+      size_t count = IntersectInto(survivors, check, out);
+      if (i == 0 && held > 0) {
+        count = static_cast<size_t>(
+            std::remove_if(out, out + count,
+                           [this](NodeId rank) { return !Distinct(rank); }) -
+            out);
       }
-      if (ok) Step(depth + 1);
-      bound[step.var] = false;
+      survivors = {out, count};
+      if (count == 0) return;
+      if (i + 1 < k) cost->index_probes += count;
+    }
+    for (size_t i = 0; i < survivors.size(); ++i) {
+      Bind(depth, step, survivors[ascending ? i : survivors.size() - 1 - i]);
     }
   }
 };
@@ -204,42 +251,35 @@ struct EvalState {
 }  // namespace
 
 CqEvaluator::CqEvaluator(const Graph& graph, NodeOrder order)
-    : graph_(&graph),
-      order_(std::move(order)),
-      successors_(graph, order_),
-      predecessors_(graph, order_.Reversed()) {}
+    : owned_(std::make_unique<LocalGraphBuilder>()),
+      local_(&owned_->Build(graph, order)) {}
+
+CqEvaluator::CqEvaluator(const LocalGraph& local) : local_(&local) {}
 
 uint64_t CqEvaluator::Evaluate(const ConjunctiveQuery& cq, InstanceSink* sink,
                                CostCounter* cost) const {
   if (cq.subgoals().empty()) return 0;
   const JoinPlan plan = BuildPlan(cq);
+  CostCounter dummy;
   EvalState state;
   state.cq = &cq;
-  state.graph = graph_;
-  state.order = &order_;
-  state.successors = &successors_;
-  state.predecessors = &predecessors_;
+  state.local = local_;
   state.plan = &plan;
   state.sink = sink;
-  state.cost = cost;
+  state.cost = cost != nullptr ? cost : &dummy;
   state.assignment.assign(cq.num_vars(), 0);
-  state.bound.assign(cq.num_vars(), false);
+  state.bound.assign(cq.num_vars(), 0);
+  state.emitted.assign(cq.num_vars(), 0);
+  state.stride = local_->max_list + kIntersectSlack;
+  state.buffers.resize(2 * plan.steps.size() * state.stride);
 
-  for (const Edge& e : graph_->edges()) {
-    if (cost != nullptr) ++cost->edges_scanned;
-    const Edge oriented = order_.Orient(e);
-    state.assignment[plan.seed_a] = oriented.first;
-    state.assignment[plan.seed_b] = oriented.second;
-    state.bound[plan.seed_a] = state.bound[plan.seed_b] = true;
-    bool ok = true;
-    for (const auto& [a, b] : plan.seed_checks) {
-      if (!state.SubgoalHolds(a, b)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) state.Step(0);
-    state.bound[plan.seed_a] = state.bound[plan.seed_b] = false;
+  for (const Edge& e : local_->oriented_edges) {
+    ++state.cost->edges_scanned;
+    state.assignment[plan.seed_a] = e.first;
+    state.assignment[plan.seed_b] = e.second;
+    state.bound[plan.seed_a] = state.bound[plan.seed_b] = 1;
+    state.Step(0);
+    state.bound[plan.seed_a] = state.bound[plan.seed_b] = 0;
   }
   return state.found;
 }

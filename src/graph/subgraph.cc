@@ -2,30 +2,18 @@
 
 #include <algorithm>
 
+#include "graph/local_graph.h"
+
 namespace smr {
 
 Subgraph BuildSubgraph(std::span<const Edge> edges) {
-  std::vector<NodeId> nodes;
-  nodes.reserve(edges.size() * 2);
-  for (const Edge& e : edges) {
-    nodes.push_back(e.first);
-    nodes.push_back(e.second);
-  }
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-
-  auto local_id = [&nodes](NodeId global) {
-    return static_cast<NodeId>(
-        std::lower_bound(nodes.begin(), nodes.end(), global) - nodes.begin());
-  };
-  std::vector<Edge> local_edges;
-  local_edges.reserve(edges.size());
-  for (const Edge& e : edges) {
-    local_edges.emplace_back(local_id(e.first), local_id(e.second));
-  }
-  return Subgraph{Graph(static_cast<NodeId>(nodes.size()),
-                        std::move(local_edges)),
-                  std::move(nodes)};
+  NodeId max_id = 0;
+  for (const Edge& e : edges) max_id = std::max({max_id, e.first, e.second});
+  LocalGraphBuilder builder;
+  builder.Relabel(edges, edges.empty() ? 0 : max_id + 1);
+  return Subgraph{Graph(static_cast<NodeId>(builder.local_to_global().size()),
+                        builder.local_edges()),
+                  builder.local_to_global()};
 }
 
 }  // namespace smr

@@ -6,8 +6,8 @@
 #include <stdexcept>
 
 #include "cq/cq_evaluator.h"
+#include "graph/local_graph.h"
 #include "graph/node_order.h"
-#include "graph/subgraph.h"
 #include "mapreduce/job.h"
 #include "util/combinatorics.h"
 
@@ -183,67 +183,39 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
     }
   };
 
+  LocalGraphBuilderPool builders;
   auto reduce_fn = [&](uint64_t key, std::span<const LabeledEdge> values,
                        ReduceContext* context) {
     const std::vector<int> own = UnrankNondecreasing(key, buckets, p);
     std::vector<Edge> skeleton_edges;
     skeleton_edges.reserve(values.size());
     for (const auto& e : values) skeleton_edges.emplace_back(e.u, e.v);
-    const Subgraph local = BuildSubgraph(skeleton_edges);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order =
-        NodeOrder::Project(order, local.local_to_global);
-    const CqEvaluator evaluator(local.graph, local_order);
+    const auto builder = builders.Borrow();
+    const CqEvaluator evaluator(builder->Build(skeleton_edges, order));
 
-    // Sink: translate to global ids, check labels, check bucket multiset.
-    class LabeledSink : public InstanceSink {
-     public:
-      LabeledSink(const Subgraph& local, const LabeledGraph& graph,
-                  const LabeledCq** current, const BucketHasher& hasher,
-                  const std::vector<int>& own, ReduceContext* context)
-          : local_(local),
-            graph_(graph),
-            current_(current),
-            hasher_(hasher),
-            own_(own),
-            context_(context) {}
-
-      void Emit(std::span<const NodeId> assignment) override {
-        scratch_.assign(assignment.size(), 0);
-        for (size_t i = 0; i < assignment.size(); ++i) {
-          scratch_[i] = local_.local_to_global[assignment[i]];
-        }
-        const LabeledCq& lcq = **current_;
-        for (size_t s = 0; s < lcq.cq.subgoals().size(); ++s) {
-          const auto& [a, b] = lcq.cq.subgoals()[s];
-          if (!graph_.HasLabeledEdge(scratch_[a], scratch_[b],
-                                     lcq.labels[s])) {
-            return;
-          }
-        }
-        std::vector<int> got;
-        got.reserve(scratch_.size());
-        for (NodeId node : scratch_) got.push_back(hasher_.Bucket(node));
-        std::sort(got.begin(), got.end());
-        if (got != own_) return;
-        context_->EmitInstance(scratch_);
-      }
-
-     private:
-      const Subgraph& local_;
-      const LabeledGraph& graph_;
-      const LabeledCq** current_;
-      const BucketHasher& hasher_;
-      const std::vector<int>& own_;
-      ReduceContext* context_;
-      std::vector<NodeId> scratch_;
-    };
-
+    // Solutions arrive in global ids: check labels, then the bucket
+    // multiset.
     const LabeledCq* current = nullptr;
-    LabeledSink labeled_sink(local, graph, &current, hasher, own, context);
+    std::vector<int> got(p);
+    ReduceFilterSink keep_labeled_own(
+        [&](std::span<const NodeId> global) {
+          const auto& subgoals = current->cq.subgoals();
+          for (size_t s = 0; s < subgoals.size(); ++s) {
+            const auto& [a, b] = subgoals[s];
+            if (!graph.HasLabeledEdge(global[a], global[b],
+                                      current->labels[s])) {
+              return false;
+            }
+          }
+          for (int x = 0; x < p; ++x) got[x] = hasher.Bucket(global[x]);
+          std::sort(got.begin(), got.end());
+          return got == own;
+        },
+        context);
     for (const LabeledCq& lcq : cqs) {
       current = &lcq;
-      evaluator.Evaluate(lcq.cq, &labeled_sink, context->cost);
+      evaluator.Evaluate(lcq.cq, &keep_labeled_own, context->cost);
     }
   };
 

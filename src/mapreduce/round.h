@@ -166,6 +166,25 @@ struct ReduceContext {
   }
 };
 
+/// Reducer-side sink: forwards a reducer kernel's emissions to the round's
+/// output when `keep` accepts them — the de-duplication selection of the
+/// bucket and partition strategies. `keep` works in its own member scratch,
+/// so filtering allocates nothing per emission.
+template <typename Keep>
+class ReduceFilterSink final : public InstanceSink {
+ public:
+  ReduceFilterSink(Keep keep, ReduceContext* context)
+      : keep_(std::move(keep)), context_(context) {}
+
+  void Emit(std::span<const NodeId> assignment) override {
+    if (keep_(assignment)) context_->EmitInstance(assignment);
+  }
+
+ private:
+  Keep keep_;
+  ReduceContext* context_;
+};
+
 /// One declared map-reduce round over inputs of type `Input`, shuffling
 /// values of type `Value`. Strategies build these and hand them to a
 /// JobDriver; nothing outside src/mapreduce/ runs rounds by hand.

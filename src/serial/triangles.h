@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "graph/graph.h"
+#include "graph/local_graph.h"
 #include "graph/node_order.h"
 #include "mapreduce/instance_sink.h"
 #include "util/cost_model.h"
@@ -19,6 +20,14 @@ namespace smr {
 /// u < v < w in `order`. Returns the triangle count.
 uint64_t EnumerateTriangles(const Graph& graph, const NodeOrder& order,
                             InstanceSink* sink, CostCounter* cost);
+
+/// The same kernel on a rank-space LocalGraph (a reducer's share): nodes
+/// are visited by local id, and the emitted assignment carries the view's
+/// ids (global ids for a reducer's share). Emissions and cost counts equal
+/// those of the Graph overload on the relabeled share under the projected
+/// order.
+uint64_t EnumerateTriangles(const LocalGraph& local, InstanceSink* sink,
+                            CostCounter* cost);
 
 /// Convenience overload using the degree order.
 uint64_t CountTriangles(const Graph& graph);
